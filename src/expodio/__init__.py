@@ -14,6 +14,7 @@ from .algebra import (
 from .bounds import BoundReport, c_constant, gap_bound, kappa, mspn_bound_equation, system_box
 from .errors import (
     ExpodioError,
+    InternalError,
     InvalidInstance,
     IsRootOfUnity,
     NotASolution,

@@ -5,8 +5,10 @@ irreducible, not necessarily monic).  Elements of Q(alpha) are rational
 coordinate vectors in the power basis 1, alpha, ..., alpha^(d-1), kept
 canonical by reduction modulo the monic rational form of the minimal
 polynomial.  Inverses come from the extended Euclidean algorithm, powers from
-binary square-and-multiply, and root-of-unity detection from the fact that a
-degree-d root of unity has multiplicative order below 2*d**2.
+binary square-and-multiply, and root-of-unity detection from comparing the
+monic minimal polynomial with the cyclotomic polynomials of its degree.  One
+set of dense-polynomial helpers serves integer polynomials, cyclotomic
+polynomials and inverses.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotInvertible, ValidationError, ZeroInverse
+from .errors import InternalError, NotInvertible, ValidationError, ZeroInverse
 
 # ---------------------------------------------------------------------------
-# Integer polynomials (dense, low-to-high coefficients)
+# Dense polynomials: tuples of low-to-high coefficients, no trailing zeros
 # ---------------------------------------------------------------------------
 
 
@@ -27,6 +29,41 @@ def _trim(coeffs) -> tuple:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _poly_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_sub(a, b) -> tuple:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of num by the nonzero den.  With a monic den the
+    arithmetic stays in the coefficients' own ring; otherwise they must be
+    Fractions."""
+    rem = list(num)
+    d = len(den) - 1
+    lead = den[-1]
+    quo = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] if lead == 1 else rem[i] / lead
+        if c:
+            quo[i - d] = c
+            for j, b in enumerate(den):
+                rem[i - d + j] -= c * b
+    return _trim(quo), _trim(rem[:d])
 
 
 @dataclass(frozen=True)
@@ -53,14 +90,7 @@ class IntPolynomial:
         return acc
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(_trim(out))
+        return IntPolynomial(_poly_mul(self.coeffs, other.coeffs))
 
     def __str__(self):
         if self.is_zero():
@@ -72,22 +102,6 @@ class IntPolynomial:
         return " + ".join(parts)
 
 
-def poly_divmod_exact(num: IntPolynomial, den: IntPolynomial):
-    """Quotient and remainder of integer polynomials with a monic divisor."""
-    if den.is_zero() or den.coeffs[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num.coeffs)
-    d = den.degree
-    quo = [0] * max(len(rem) - d, 0)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            quo[i - d] = c
-            for j, b in enumerate(den.coeffs):
-                rem[i - d + j] -= c * b
-    return IntPolynomial(_trim(quo)), IntPolynomial(_trim(rem))
-
-
 _CYCLOTOMIC_CACHE: dict = {1: IntPolynomial((-1, 1))}
 
 
@@ -96,22 +110,34 @@ def cyclotomic(n: int) -> IntPolynomial:
     cyclotomic polynomials of the proper divisors of n."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    if n in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[n]
-    num = IntPolynomial.of([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = poly_divmod_exact(num, cyclotomic(d))
-            assert rem.is_zero()
-    _CYCLOTOMIC_CACHE[n] = num
-    return num
+    if n not in _CYCLOTOMIC_CACHE:
+        num = (-1,) + (0,) * (n - 1) + (1,)
+        for d in range(1, n):
+            if n % d == 0:
+                num, rem = _poly_divmod(num, cyclotomic(d).coeffs)
+                if rem:
+                    raise InternalError(f"Phi_{d} does not divide x^{n} - 1")
+        _CYCLOTOMIC_CACHE[n] = IntPolynomial(num)
+    return _CYCLOTOMIC_CACHE[n]
+
+
+def _totient(n: int) -> int:
+    """Euler's totient, by trial division."""
+    result, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Number fields
 # ---------------------------------------------------------------------------
-
-_ROU_SEARCH_FACTOR = 2  # order of a degree-d root of unity is < 2*d**2
 
 
 class NumberField:
@@ -137,7 +163,7 @@ class NumberField:
         object.__setattr__(self, "min_poly", min_poly)
         object.__setattr__(self, "degree", min_poly.degree)
         object.__setattr__(self, "monic_tail", tail)
-        object.__setattr__(self, "rou_order", _multiplicative_order(self))
+        object.__setattr__(self, "rou_order", root_of_unity_order(self))
 
     # NumberFields are compared by the field they generate, i.e. by the
     # monic form of the minimal polynomial.
@@ -154,9 +180,7 @@ class NumberField:
         return FieldElement(self, (Fraction(0),) * self.degree)
 
     def one(self) -> "FieldElement":
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(1)
-        return FieldElement(self, tuple(coords))
+        return self.from_int(1)
 
     def alpha(self) -> "FieldElement":
         if self.degree == 1:
@@ -263,49 +287,6 @@ def field_reduce(raw: Sequence, field: NumberField) -> FieldElement:
     return FieldElement(field, _reduce_coords([Fraction(c) for c in raw], field))
 
 
-# -- extended Euclid over Q[x], used only for inverses ----------------------
-
-
-def _fpoly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fpoly_divmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quo = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c:
-            quo[i - dd] = c
-            for j, b in enumerate(den):
-                num[i - dd + j] -= c * b
-    return quo, _fpoly_trim(num[:dd])
-
-
-def _fpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fpoly_trim(out)
-
-
-def _fpoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _fpoly_trim(out)
-
-
 def field_inverse(a: FieldElement) -> FieldElement:
     """Multiplicative inverse in Q(alpha) via the extended Euclidean
     algorithm on (representative of a, monic minimal polynomial).
@@ -316,13 +297,12 @@ def field_inverse(a: FieldElement) -> FieldElement:
     if a.is_zero():
         raise ZeroInverse("inverse of zero")
     field = a.field
-    modulus = list(field.monic_tail) + [Fraction(1)]
-    r0, r1 = modulus, _fpoly_trim(list(a.coords))
-    t0, t1 = [], [Fraction(1)]
+    r0, r1 = field.monic_tail + (Fraction(1),), _trim(a.coords)
+    t0, t1 = (), (Fraction(1),)
     while r1:
-        quo, rem = _fpoly_divmod(r0, r1)
+        quo, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
-        t0, t1 = t1, _fpoly_sub(t0, _fpoly_mul(quo, t1))
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(quo, t1))
     if len(r0) != 1:
         raise NotInvertible("minimal polynomial is reducible")
     g = r0[0]
@@ -350,21 +330,20 @@ def field_pow(base: FieldElement, exponent: int) -> FieldElement:
     return result
 
 
-def _multiplicative_order(field: NumberField) -> Optional[int]:
-    one = field.one()
-    alpha = field.alpha()
-    acc = alpha
-    for n in range(1, _ROU_SEARCH_FACTOR * field.degree**2 + 1):
-        if acc == one:
-            return n
-        acc = acc * alpha
-    return None
-
-
 def root_of_unity_order(field: NumberField) -> Optional[int]:
     """Multiplicative order of alpha if it is a root of unity, else None.
 
-    The order of a degree-d root of unity is below 2*d**2 (Euler's totient
-    satisfies phi(n) >= sqrt(n/2)), so the search range is exact.
+    For n >= 2, alpha is a primitive n-th root of unity iff the monic form of
+    its minimal polynomial is the n-th cyclotomic polynomial, which is
+    integral and palindromic.  Its degree phi(n) = d forces n <= 2*d**2,
+    because Euler's totient satisfies phi(n) >= sqrt(n/2); so comparing with
+    every such Phi_n is exact.
     """
-    return field.rou_order
+    monic = field.monic_tail + (Fraction(1),)
+    if any(c.denominator != 1 for c in monic) or monic != monic[::-1]:
+        return None
+    d = field.degree
+    for n in range(2, 2 * d * d + 1):
+        if _totient(n) == d and cyclotomic(n).coeffs == monic:
+            return n
+    return None

@@ -290,9 +290,6 @@ def run(argv) -> int:
     except ExpodioError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
-    except AssertionError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 4
 
 
 def main():

@@ -44,3 +44,7 @@ class ResourceLimitExceeded(ExpodioError):
 
 class TooManyVariables(ExpodioError):
     """Variable count exceeds the configured exhaustive-search maximum."""
+
+
+class InternalError(ExpodioError):
+    """An internal invariant failed: a bug in expodio, not in the input."""

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .algebra import NumberField, cyclotomic, field_pow
 from .bounds import c_constant
-from .errors import InvalidInstance, IsRootOfUnity, ResourceLimitExceeded
+from .errors import InternalError, InvalidInstance, IsRootOfUnity, ResourceLimitExceeded
 from .model import ExpEquation, ExpSystem, make_system
 from .verify import SolutionVector
 
@@ -233,5 +233,6 @@ def partition_witness(inst: PartitionInstance) -> Optional[tuple]:
         if need >= v and (layers[i] >> (need - v)) & 1:
             side[i] = 1
             need -= v
-    assert need == 0
+    if need != 0:
+        raise InternalError(f"side assignment misses the half sum by {need}")
     return tuple(side)

@@ -16,14 +16,14 @@ arithmetic kernel.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algebra import field_inverse
 from .bounds import system_box
-from .errors import ResourceLimitExceeded, TooManyVariables
+from .errors import InternalError, ResourceLimitExceeded, TooManyVariables
 from .model import ExpSystem, clear_denominators, homogenize
 from .verify import SolutionVector, verify
 
@@ -39,6 +39,13 @@ class SearchLimits:
     max_candidates: int = 10**8
     max_seconds: float = 60.0
     max_vars: int = 12
+
+    def check_vars(self, num_vars: int) -> None:
+        """Refuse an exhaustive search over more than ``max_vars`` variables."""
+        if num_vars > self.max_vars:
+            raise TooManyVariables(
+                f"{num_vars} variables exceeds the configured maximum {self.max_vars}"
+            )
 
 
 @dataclass
@@ -149,7 +156,6 @@ def _run_search(
     prune: bool = True,
     collect_all: bool = False,
     outer_values: Optional[Sequence[int]] = None,
-    node_budget: Optional[int] = None,
     cancel=None,
 ):
     """Depth-first sweep of [0, box]^k for a homogeneous integer system.
@@ -166,7 +172,7 @@ def _run_search(
         )
     term = _flat_tables(work, box)
     zero = (0,) * width
-    budget = node_budget if node_budget is not None else limits.max_candidates
+    budget = limits.max_candidates
     deadline = time.monotonic() + limits.max_seconds
     found = []
     nodes = 0
@@ -242,10 +248,7 @@ def decide(
     returning a truncated UNSAT.
     """
     limits = limits or SearchLimits()
-    if system.num_vars > limits.max_vars:
-        raise TooManyVariables(
-            f"{system.num_vars} variables exceeds the configured maximum {limits.max_vars}"
-        )
+    limits.check_vars(system.num_vars)
     homog, work, report = prepare(system)
     box = report.box_limit if box_override is None else box_override
     started = time.monotonic()
@@ -259,7 +262,8 @@ def decide(
     if witness_raw is None:
         return DecisionResult(UNSAT, None, stats)
     witness = SolutionVector(homog.dehomogenize(witness_raw))
-    assert verify(system, witness)
+    if not verify(system, witness):
+        raise InternalError(f"search returned {witness.entries}, which fails verification")
     return DecisionResult(SAT, witness, stats)
 
 
@@ -267,50 +271,87 @@ def _parallel_first_witness(work, box, limits, jobs):
     """Static partition of the outermost variable across worker processes;
     the first witness wins via a shared cancellation event.  The decision is
     deterministic; the witness identity is not."""
-    ctx = multiprocessing.get_context("fork")
-    chunks = [list(range(start, box + 1, jobs)) for start in range(jobs)]
-    chunks = [c for c in chunks if c]
-    cancel = ctx.Event()
-    queue = ctx.SimpleQueue()
-    share = SearchLimits(
-        max_candidates=max(limits.max_candidates // len(chunks), 1),
-        max_seconds=limits.max_seconds,
-        max_vars=limits.max_vars,
-    )
+    chunks = _chunks(box + 1, jobs)
+    share = replace(limits, max_candidates=max(limits.max_candidates // len(chunks), 1))
 
-    def worker(outer):
+    def search(outer, cancel):
         try:
-            found, n, _ = _run_search(
-                work, box, share, outer_values=outer, cancel=cancel
-            )
-            if found:
-                cancel.set()
-                queue.put(("sat", found[0], n))
-            else:
-                queue.put(("unsat", None, n))
+            found, n, _ = _run_search(work, box, share, outer_values=outer, cancel=cancel)
         except ResourceLimitExceeded:
-            queue.put(("limit", None, 0))
+            return "limit", None, 0
         except _Cancelled:
-            queue.put(("cancelled", None, 0))
-        except BaseException as exc:  # surface worker crashes to the parent
-            queue.put(("error", repr(exc), 0))
+            return "cancelled", None, 0
+        if found:
+            cancel.set()
+            return "sat", found[0], n
+        return "unsat", None, n
 
-    procs = [ctx.Process(target=worker, args=(chunk,)) for chunk in chunks]
-    for p in procs:
-        p.start()
-    results = [queue.get() for _ in procs]
-    for p in procs:
-        p.join()
+    results = _fork_map(search, chunks)
     nodes = sum(r[2] for r in results)
-    for status, payload, _ in results:
-        if status == "error":
-            raise RuntimeError(f"search worker failed: {payload}")
     for status, payload, _ in results:
         if status == "sat":
             return tuple(payload), nodes
     if any(status == "limit" for status, _, _ in results):
         raise ResourceLimitExceeded("a search worker exhausted its budget")
     return None, nodes
+
+
+def _chunks(items: int, jobs: int) -> list:
+    """Round-robin split of range(items) into one range per worker, for at
+    most min(jobs, CPU count, items) workers."""
+    workers = max(min(jobs, os.cpu_count() or 1, items), 1)
+    return [range(start, items, workers) for start in range(workers)]
+
+
+def _fork_map(task, chunks) -> list:
+    """[task(chunk, cancel) for chunk in chunks], one forked worker process
+    per chunk; ``cancel`` is an event shared by all workers.
+
+    Workers are forked, not spawned, because tasks are closures over the
+    search state.  Raises RuntimeError when a task raises or a worker exits
+    without a result; the other workers are then terminated.
+    """
+    import multiprocessing  # here, so that calls that never fork skip the import
+
+    ctx = multiprocessing.get_context("fork")
+    cancel = ctx.Event()
+    procs, readers = [], []
+
+    def work(chunk, conn):
+        try:
+            conn.send(("ok", task(chunk, cancel)))
+        except Exception as exc:
+            conn.send(("error", repr(exc)))
+
+    try:
+        for chunk in chunks:
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=work, args=(chunk, writer))
+            proc.start()
+            # Workers forked later must not inherit this write end: the
+            # reader sees end-of-file once this worker has exited.
+            writer.close()
+            procs.append(proc)
+            readers.append(reader)
+        results = []
+        for reader in readers:
+            try:
+                status, payload = reader.recv()
+            except EOFError:
+                raise RuntimeError("a worker process exited without a result") from None
+            if status == "error":
+                raise RuntimeError(f"worker failed: {payload}")
+            results.append(payload)
+        return results
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for reader in readers:
+            reader.close()
 
 
 # ---------------------------------------------------------------------------

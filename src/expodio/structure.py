@@ -18,14 +18,13 @@ output is dehomogenized.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import field_pow
-from .errors import NotASolution, TooManyVariables, ValidationError
+from .errors import InternalError, NotASolution, ValidationError
 from .model import ExpSystem
-from .solve import SearchLimits, _run_search, prepare
+from .solve import SearchLimits, _chunks, _fork_map, _run_search, prepare
 from .verify import SolutionVector, verify
 
 
@@ -87,10 +86,7 @@ def find_cluster_structures(
     limits = limits or SearchLimits()
     if not system.is_homogeneous():
         raise ValidationError("not-homogeneous")
-    if system.num_vars > limits.max_vars:
-        raise TooManyVariables(
-            f"{system.num_vars} variables exceeds the configured maximum {limits.max_vars}"
-        )
+    limits.check_vars(system.num_vars)
     xs = SolutionVector.coerce(candidate).entries
     if not verify(system, xs):
         raise NotASolution(f"candidate {xs} does not solve the system")
@@ -170,7 +166,8 @@ def _cluster_partitions(work: ExpSystem, xs) -> list:
             parts.pop()
 
     fill(full - 1)
-    assert partitions, "every solution admits at least one cluster structure"
+    if not partitions:
+        raise InternalError(f"solution {tuple(xs)} admits no cluster structure")
     return partitions
 
 
@@ -194,17 +191,20 @@ def enumerate_semilinear(
     because assembly happens after canonical deduplication.
     """
     limits = limits or SearchLimits()
-    if system.num_vars > limits.max_vars:
-        raise TooManyVariables(
-            f"{system.num_vars} variables exceeds the configured maximum {limits.max_vars}"
-        )
+    limits.check_vars(system.num_vars)
     homog, work, report = prepare(system)
     box = report.box_limit
     modulus = report.modulus
     solutions, _, _ = _run_search(work, box, limits, collect_all=True)
 
     if jobs > 1 and len(solutions) > 1:
-        structured = _parallel_partitions(work, solutions, jobs)
+        chunks = _chunks(len(solutions), jobs)
+        found = _fork_map(
+            lambda chunk, _: [_cluster_partitions(work, solutions[i]) for i in chunk],
+            chunks,
+        )
+        by_index = {i: p for chunk, ps in zip(chunks, found) for i, p in zip(chunk, ps)}
+        structured = [(sol, by_index[i]) for i, sol in enumerate(solutions)]
     else:
         structured = [(sol, _cluster_partitions(work, sol)) for sol in solutions]
 
@@ -234,37 +234,6 @@ def enumerate_semilinear(
                 seen[key] = Coset(tuple(base), tuple(sorted(periods)))
     cosets = tuple(seen[key] for key in sorted(seen))
     return SemilinearSet(k, modulus, cosets)
-
-
-def _parallel_partitions(work, solutions, jobs):
-    """Cluster-structure search fanned out over worker processes, one chunk
-    of base solutions each; results are merged back in solution order."""
-    ctx = multiprocessing.get_context("fork")
-    chunks = [list(range(start, len(solutions), jobs)) for start in range(jobs)]
-    chunks = [c for c in chunks if c]
-    queue = ctx.SimpleQueue()
-
-    def worker(indices):
-        try:
-            out = [(i, _cluster_partitions(work, solutions[i])) for i in indices]
-            queue.put(("ok", out))
-        except BaseException as exc:
-            queue.put(("error", repr(exc)))
-
-    procs = [ctx.Process(target=worker, args=(chunk,)) for chunk in chunks]
-    for p in procs:
-        p.start()
-    merged = {}
-    for _ in procs:
-        status, payload = queue.get()
-        if status == "error":
-            for p in procs:
-                p.join()
-            raise RuntimeError(f"cluster-structure worker failed: {payload}")
-        merged.update(dict(payload))
-    for p in procs:
-        p.join()
-    return [(solutions[i], merged[i]) for i in range(len(solutions))]
 
 
 def coset_contains(semiset: SemilinearSet, candidate) -> bool:

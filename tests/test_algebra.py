@@ -285,3 +285,57 @@ def test_constant_poly_rejected():
 def test_field_equality_by_monic_form():
     assert NumberField([-2, 1]) == NumberField([-4, 2])
     assert NumberField([-2, 1]) != NumberField([-3, 1])
+
+
+# ---------------------------------------------------------------------------
+# Root-of-unity detection against a naive power-order loop
+# ---------------------------------------------------------------------------
+
+
+def naive_order(poly):
+    """Least n <= 2*d**2 with alpha^n = 1, by repeated multiplication by x
+    modulo the monic form of poly; None if there is none."""
+    lead = poly[-1]
+    tail = [Fraction(c, lead) for c in poly[:-1]]
+    if all(t.denominator == 1 for t in tail):
+        tail = [int(t) for t in tail]  # integer arithmetic keeps the loop fast
+    d = len(tail)
+    one = [1] + [0] * (d - 1)
+    acc = one
+    for n in range(1, 2 * d * d + 1):
+        top = acc[-1]
+        acc = [a - top * t for a, t in zip([0] + acc[:-1], tail)]
+        if acc == one:
+            return n
+    return None
+
+
+def test_root_of_unity_order_matches_naive_order_on_cyclotomics():
+    for n in range(2, 121):
+        phi = list(cyclotomic(n).coeffs)
+        for poly in (phi, [-c for c in phi], [2 * c for c in phi]):
+            field = NumberField(poly)
+            assert naive_order(poly) == n
+            assert root_of_unity_order(field) == n
+            assert field.rou_order == n
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1],  # Lehmer's polynomial
+        [1, -3, 1],
+        [1, -1, -1, -1, 1],
+    ],
+)
+def test_palindromic_non_cyclotomic_not_roots_of_unity(poly):
+    # monic, integral and palindromic like every Phi_n, so only the
+    # comparison with the cyclotomic polynomials can reject them
+    assert naive_order(poly) is None
+    assert root_of_unity_order(NumberField(poly)) is None
+
+
+def test_int_polynomial_product_with_zero():
+    zero = IntPolynomial.of([0])
+    assert (zero * cyclotomic(3)).is_zero()
+    assert (cyclotomic(3) * zero).is_zero()

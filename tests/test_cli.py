@@ -2,10 +2,14 @@
 generate/solve/verify round trip."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from expodio import PartitionInstance, partition_oracle
+import expodio
+from expodio import InternalError, PartitionInstance, decide, parse_system, partition_oracle
 from expodio.cli import run
 
 POW_DOC = json.dumps(
@@ -258,3 +262,36 @@ def test_verify_huge_exponents_skips_residuals(pow_instance, tmp_path, capsys):
     doc = out_json(capsys)
     assert doc["valid"] is False
     assert doc["residuals"] is None
+
+
+def test_rou_lehmer_polynomial(capsys):
+    # palindromic and integral like a cyclotomic polynomial, but Lehmer's
+    # polynomial has a real root above 1
+    assert run(["rou", "--min-poly=1,1,0,-1,-1,-1,-1,-1,0,1,1"]) == 0
+    assert out_json(capsys) == {"root_of_unity": False, "order": None}
+
+
+def test_failed_witness_check_exits_4(pow_instance, monkeypatch, capsys):
+    monkeypatch.setattr("expodio.solve.verify", lambda *args: False)
+    with pytest.raises(InternalError):
+        decide(parse_system(POW_DOC))
+    assert run(["solve", pow_instance]) == 4
+    assert "internal invariant violated" in capsys.readouterr().err
+
+
+def test_failed_witness_check_exits_4_under_optimize(pow_instance):
+    # python -O strips assert statements; the invariant check must remain
+    script = (
+        "import sys, expodio.solve\n"
+        "from expodio.cli import run\n"
+        "if __debug__:\n"
+        "    sys.exit(99)\n"
+        "expodio.solve.verify = lambda *args: False\n"
+        f"sys.exit(run(['solve', {pow_instance!r}]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(expodio.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4, proc.stderr

@@ -2,7 +2,10 @@
 normalization and determinism, pruning agreement, budgets, parallel mode."""
 
 import json
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -17,6 +20,7 @@ from expodio import (
     verify,
 )
 from expodio.solve import SAT, UNSAT, prepare
+from expodio.solve import _chunks, _fork_map
 from helpers import (
     P_I,
     P_MINUS_ONE,
@@ -308,3 +312,32 @@ def test_prepare_pipeline_shape():
     assert work.is_homogeneous()
     assert work.has_integer_coords()
     assert report.box_limit >= report.modulus >= 1
+
+
+def test_worker_count_capped_without_starting_processes():
+    cpus = os.cpu_count() or 1
+    chunks = _chunks(10, 10**9)
+    assert len(chunks) == min(10, cpus)
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(10))
+    assert len(_chunks(10**9, 10**9)) == cpus
+
+
+def test_dead_worker_raises():
+    def task(chunk, cancel):
+        if 1 in chunk:
+            os._exit(1)
+        return list(chunk)
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waited on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    started = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="without a result"):
+            _fork_map(task, [range(0, 1), range(1, 2)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 10
